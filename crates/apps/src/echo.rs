@@ -39,8 +39,9 @@ pub struct EchoServer {
     pub bytes_out: u64,
     /// Accepted connections.
     pub accepted: u64,
-    /// Bytes buffered per socket until a full message is present.
-    partial: HashMap<SockId, usize>,
+    /// Bytes buffered per socket until a full message is present, indexed
+    /// by [`SockId`] (stacks hand out dense socket ids).
+    partial: Vec<usize>,
     out: SendBuf,
 }
 
@@ -56,7 +57,7 @@ impl EchoServer {
             bytes_in: 0,
             bytes_out: 0,
             accepted: 0,
-            partial: HashMap::new(),
+            partial: Vec::new(),
             out: SendBuf::default(),
         }
     }
@@ -102,7 +103,11 @@ impl App for EchoServer {
             AppEvent::Readable { sock } => {
                 let data = api.recv(sock, usize::MAX);
                 self.bytes_in += data.len() as u64;
-                let have = self.partial.entry(sock).or_insert(0);
+                let i = sock as usize;
+                if i >= self.partial.len() {
+                    self.partial.resize(i + 1, 0);
+                }
+                let have = &mut self.partial[i];
                 *have += data.len();
                 let full = *have / self.msg_size;
                 *have %= self.msg_size;
@@ -116,7 +121,9 @@ impl App for EchoServer {
                 }
             }
             AppEvent::Closed { sock } => {
-                self.partial.remove(&sock);
+                if let Some(have) = self.partial.get_mut(sock as usize) {
+                    *have = 0;
+                }
                 self.out.clear(sock);
                 api.close(sock);
             }

@@ -1,6 +1,5 @@
 //! Shared application plumbing.
 
-use std::collections::HashMap;
 use tas_netsim::app::{SockId, StackApi};
 
 /// Per-socket send buffering for message-framed applications.
@@ -24,14 +23,16 @@ use tas_netsim::app::{SockId, StackApi};
 /// ```
 #[derive(Debug, Default)]
 pub struct SendBuf {
-    carry: HashMap<SockId, Vec<u8>>,
+    /// Carried bytes per socket, indexed by [`SockId`] (stacks hand out
+    /// dense socket ids); grown on a socket's first partial send.
+    carry: Vec<Vec<u8>>,
 }
 
 impl SendBuf {
     /// Sends `data`, carrying whatever the stack does not accept. Returns
     /// the bytes that reached the stack *now* (the rest is carried).
     pub fn send(&mut self, api: &mut dyn StackApi, sock: SockId, data: &[u8]) -> usize {
-        if let Some(c) = self.carry.get_mut(&sock) {
+        if let Some(c) = self.carry.get_mut(sock as usize) {
             if !c.is_empty() {
                 // Never reorder: append behind the existing carry.
                 c.extend_from_slice(data);
@@ -40,10 +41,11 @@ impl SendBuf {
         }
         let n = api.send(sock, data);
         if n < data.len() {
-            self.carry
-                .entry(sock)
-                .or_default()
-                .extend_from_slice(&data[n..]);
+            let i = sock as usize;
+            if i >= self.carry.len() {
+                self.carry.resize_with(i + 1, Vec::new);
+            }
+            self.carry[i].extend_from_slice(&data[n..]);
         }
         n
     }
@@ -54,7 +56,7 @@ impl SendBuf {
     }
 
     fn flush(&mut self, api: &mut dyn StackApi, sock: SockId) -> usize {
-        let Some(c) = self.carry.get_mut(&sock) else {
+        let Some(c) = self.carry.get_mut(sock as usize) else {
             return 0;
         };
         if c.is_empty() {
@@ -67,11 +69,13 @@ impl SendBuf {
 
     /// Bytes currently carried for a socket.
     pub fn pending(&self, sock: SockId) -> usize {
-        self.carry.get(&sock).map(|c| c.len()).unwrap_or(0)
+        self.carry.get(sock as usize).map_or(0, Vec::len)
     }
 
     /// Drops a closed socket's state.
     pub fn clear(&mut self, sock: SockId) {
-        self.carry.remove(&sock);
+        if let Some(c) = self.carry.get_mut(sock as usize) {
+            *c = Vec::new();
+        }
     }
 }

@@ -16,6 +16,9 @@ pub const TOEPLITZ_KEY: [u8; 40] = [
 ];
 
 /// Toeplitz hash over arbitrary input bytes with the given key.
+///
+/// Bit-serial: the reference construction. The per-packet path,
+/// [`hash_tuple`], computes the same value from a precomputed table.
 pub fn toeplitz_hash(key: &[u8; 40], input: &[u8]) -> u32 {
     let mut result: u32 = 0;
     // The hash window is the first 32 bits of the key, shifting left one
@@ -39,15 +42,67 @@ pub fn toeplitz_hash(key: &[u8; 40], input: &[u8]) -> u32 {
     result
 }
 
+/// Key bits `[bit, bit + 32)` of [`TOEPLITZ_KEY`] (zero past its end): the
+/// value a set input bit at position `bit` XORs into the Toeplitz hash.
+const fn key_window(bit: usize) -> u32 {
+    let mut w = 0u32;
+    let mut k = 0;
+    while k < 32 {
+        let idx = bit + k;
+        let b = if idx < 320 {
+            (TOEPLITZ_KEY[idx / 8] >> (7 - idx % 8)) & 1
+        } else {
+            0
+        };
+        w = (w << 1) | b as u32;
+        k += 1;
+    }
+    w
+}
+
+/// Nibbles in a 12-byte IPv4/TCP 4-tuple.
+const TUPLE_NIBBLES: usize = 24;
+
+/// Toeplitz over [`TOEPLITZ_KEY`] is linear in the input bits, so the hash
+/// of a 4-tuple is the XOR of one entry per input nibble:
+/// `NIBBLE_HASH[n][v]` is the hash contribution of value `v` at nibble
+/// position `n` (most significant nibble first).
+const NIBBLE_HASH: [[u32; 16]; TUPLE_NIBBLES] = {
+    let mut t = [[0u32; 16]; TUPLE_NIBBLES];
+    let mut n = 0;
+    while n < TUPLE_NIBBLES {
+        let mut v = 0;
+        while v < 16 {
+            let mut h = 0u32;
+            let mut b = 0;
+            while b < 4 {
+                if (v >> (3 - b)) & 1 == 1 {
+                    h ^= key_window(n * 4 + b);
+                }
+                b += 1;
+            }
+            t[n][v] = h;
+            v += 1;
+        }
+        n += 1;
+    }
+    t
+};
+
 /// Hashes an IPv4/TCP 4-tuple as NICs do for RSS (src ip, dst ip, src
-/// port, dst port, all big-endian).
+/// port, dst port, all big-endian). Equal to [`toeplitz_hash`] with
+/// [`TOEPLITZ_KEY`] over those 12 bytes, computed by table lookup.
 pub fn hash_tuple(src: Ipv4Addr, dst: Ipv4Addr, sport: u16, dport: u16) -> u32 {
     let mut input = [0u8; 12];
     input[0..4].copy_from_slice(&src.octets());
     input[4..8].copy_from_slice(&dst.octets());
     input[8..10].copy_from_slice(&sport.to_be_bytes());
     input[10..12].copy_from_slice(&dport.to_be_bytes());
-    toeplitz_hash(&TOEPLITZ_KEY, &input)
+    let mut h = 0;
+    for (i, &b) in input.iter().enumerate() {
+        h ^= NIBBLE_HASH[2 * i][(b >> 4) as usize] ^ NIBBLE_HASH[2 * i + 1][(b & 0xf) as usize];
+    }
+    h
 }
 
 /// The NIC's RSS redirection table: hash → receive queue.

@@ -100,6 +100,9 @@ pub struct Switch {
     default_route: Vec<usize>,
     /// Packets with no route (dropped, counted).
     pub unroutable: u64,
+    /// Scratch buffer for fault-injector output (avoids per-packet
+    /// allocation on a faulty port).
+    fault_out: Vec<(SimTime, Segment)>,
     monitor_port: Option<usize>,
     monitor_interval: SimTime,
     qlen_stats: MeanVar,
@@ -117,6 +120,7 @@ impl Switch {
             routes: BTreeMap::new(),
             default_route: Vec::new(),
             unroutable: 0,
+            fault_out: Vec::new(),
             monitor_port: None,
             monitor_interval: SimTime::from_us(10),
             qlen_stats: MeanVar::new(),
@@ -292,10 +296,9 @@ impl Switch {
             // Wire faults strike after serialization, like the NIC's: a
             // dropped packet still occupied the queue and the wire.
             let before = port.fault.dropped();
-            let mut out = Vec::new();
-            port.fault.apply(arrival, seg, &mut out);
+            port.fault.apply(arrival, seg, &mut self.fault_out);
             port.loss_drops += port.fault.dropped() - before;
-            for (t, s) in out {
+            for (t, s) in self.fault_out.drain(..) {
                 ctx.send_at(port.peer, t, NetMsg::Packet(s));
             }
         } else {

@@ -5,13 +5,16 @@
 //! engine is single-threaded and deterministic: effects requested while
 //! handling an event enqueue in call order (and are never observable by the
 //! requesting handler), and ties on timestamps dispatch in insertion order.
-//! Same-timestamp runs are drained from the queue in one batch.
+//! Each step pops the earliest live event straight from the queue and
+//! dispatches it: the queue already orders by `(time, seq)`, so an event
+//! pushed at the current instant dispatches after every event already
+//! pending at that instant, and cancelling one of those before its turn
+//! drops it.
 
 use crate::queue::{EventId, EventQueue};
 use crate::rng::Rng;
 use crate::time::SimTime;
 use std::any::Any;
-use std::collections::VecDeque;
 
 /// Identifier of an agent within a [`Sim`].
 pub type AgentId = u32;
@@ -143,11 +146,11 @@ impl<M> Ctx<'_, M> {
 
     /// Cancels a pending timer: it is reclaimed without dispatching.
     ///
-    /// Returns true if the handle was still live. Cancellation is
-    /// guaranteed for timers strictly in the future; a timer at the instant
-    /// currently dispatching may already be in flight (agents keep their
-    /// own generation/liveness guards for that case). Stale handles are a
-    /// safe no-op.
+    /// Returns true if the handle was still live. Every timer that has not
+    /// dispatched yet is cancellable, including one due at the current
+    /// instant: it is dropped even if other events at this instant are
+    /// still to dispatch ahead of it. Stale handles (the timer already
+    /// dispatched or was cancelled) are a safe no-op.
     pub fn cancel_timer(&mut self, id: TimerId) -> bool {
         self.queue.cancel(id)
     }
@@ -188,8 +191,6 @@ pub struct Sim<M> {
     queue: EventQueue<Scheduled<M>>,
     agents: Vec<Option<Box<dyn Agent<M>>>>,
     rng: Rng,
-    /// Same-timestamp run drained from the queue, awaiting dispatch.
-    batch: VecDeque<(SimTime, Scheduled<M>)>,
     events_processed: u64,
     stopped: bool,
 }
@@ -202,7 +203,6 @@ impl<M: 'static> Sim<M> {
             queue: EventQueue::new(),
             agents: Vec::new(),
             rng: Rng::new(seed),
-            batch: VecDeque::new(),
             events_processed: 0,
             stopped: false,
         }
@@ -290,31 +290,20 @@ impl<M: 'static> Sim<M> {
             .expect("agent type mismatch")
     }
 
-    /// Next event to dispatch: the head of the current batch, refilled by
-    /// draining the queue's next same-timestamp run in one go.
-    fn next_event(&mut self) -> Option<(SimTime, Scheduled<M>)> {
-        if let Some(x) = self.batch.pop_front() {
-            return Some(x);
-        }
-        self.queue.pop_batch(&mut self.batch);
-        self.batch.pop_front()
-    }
-
-    /// Timestamp of the next event to dispatch, if any.
-    fn peek_next_time(&mut self) -> Option<SimTime> {
-        match self.batch.front() {
-            Some((t, _)) => Some(*t),
-            None => self.queue.peek_time(),
-        }
-    }
-
     /// Dispatches the next event. Returns `false` when the queue is empty
     /// or an agent requested a stop.
     pub fn step(&mut self) -> bool {
+        self.step_until(SimTime::MAX)
+    }
+
+    /// Dispatches the earliest pending event if it is due at or before
+    /// `deadline`. Returns `false` when no such event exists or an agent
+    /// requested a stop.
+    fn step_until(&mut self, deadline: SimTime) -> bool {
         if self.stopped {
             return false;
         }
-        let Some((t, sch)) = self.next_event() else {
+        let Some((t, sch)) = self.queue.pop_until(deadline) else {
             return false;
         };
         debug_assert!(t >= self.now, "time must be monotonic");
@@ -347,14 +336,7 @@ impl<M: 'static> Sim<M> {
     /// agent stops the run. Returns the number of events dispatched.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let start = self.events_processed;
-        while let Some(t) = self.peek_next_time() {
-            if t > deadline || self.stopped {
-                break;
-            }
-            if !self.step() {
-                break;
-            }
-        }
+        while self.step_until(deadline) {}
         if self.now < deadline && !self.stopped {
             self.now = deadline;
         }
@@ -545,6 +527,47 @@ mod tests {
             sim.agent::<Rec>(a).got,
             vec![0, 1, 2, 3, 4, 5, 100, 101, 102]
         );
+    }
+
+    #[test]
+    fn same_instant_timer_cancelled_before_dispatch_never_fires() {
+        // Timers 0, 1 and 2 share one instant. Timer 0 cancels timer 1
+        // before its turn and arms timer 3 at the same instant; timer 2,
+        // which dispatches before timer 3, cancels it. Neither victim may
+        // fire, though both were due at the instant being dispatched.
+        struct Canceller {
+            victim: Option<TimerId>,
+            fired: Vec<u32>,
+        }
+        impl Agent<Msg> for Canceller {
+            fn on_event(&mut self, ev: Event<Msg>, ctx: &mut Ctx<'_, Msg>) {
+                if let Event::Timer { kind, .. } = ev {
+                    self.fired.push(kind);
+                    let victim = self.victim.take();
+                    match kind {
+                        0 => {
+                            assert!(victim.is_some_and(|id| ctx.cancel_timer(id)));
+                            self.victim = Some(ctx.timer(SimTime::ZERO, 3, 0));
+                        }
+                        2 => assert!(victim.is_some_and(|id| ctx.cancel_timer(id))),
+                        _ => {}
+                    }
+                }
+            }
+            impl_as_any!();
+        }
+        let mut sim: Sim<Msg> = Sim::new(11);
+        let a = sim.add_agent(Box::new(Canceller {
+            victim: None,
+            fired: Vec::new(),
+        }));
+        let t = SimTime::from_us(3);
+        sim.inject_timer(t, a, 0, 0);
+        let victim = sim.inject_timer(t, a, 1, 0);
+        sim.inject_timer(t, a, 2, 0);
+        sim.agent_mut::<Canceller>(a).victim = Some(victim);
+        assert_eq!(sim.run_until(SimTime::from_ms(1)), 2);
+        assert_eq!(sim.agent::<Canceller>(a).fired, vec![0, 2]);
     }
 
     #[test]

@@ -48,7 +48,8 @@ pub mod timers {
     pub const APP: u32 = 4;
     /// Deferred application event delivery; `data` = context.
     pub const APP_RUN: u32 = 5;
-    /// Deferred fast-path command execution.
+    /// Deferred fast-path command execution; `data` = how many queued
+    /// commands to run (one timer per application frame).
     pub const FP_CMD: u32 = 6;
     /// Deferred slow-path work execution.
     pub const SP_RUN: u32 = 7;
@@ -120,7 +121,8 @@ enum SpCmd {
     },
 }
 
-/// Deferred work collected while an app handler runs.
+/// Deferred work collected while an app handler runs. One frame is reused
+/// across deliveries, so its buffers keep their capacity.
 #[derive(Default)]
 struct Frame {
     context: u16,
@@ -131,6 +133,27 @@ struct Frame {
     sp_cmds: Vec<SpCmd>,
     timers: Vec<(SimTime, u64)>,
     posts: Vec<(u16, u64)>,
+}
+
+impl Frame {
+    /// Starts a delivery on `context` at `now` with `api_cycles` already
+    /// charged. The buffers are empty: the previous frame drained them.
+    fn begin(&mut self, context: u16, now: SimTime, api_cycles: u64) {
+        debug_assert!(
+            self.fp_cmds.is_empty()
+                && self.sp_cmds.is_empty()
+                && self.timers.is_empty()
+                && self.posts.is_empty(),
+            "previous frame left work behind"
+        );
+        *self = Frame {
+            context,
+            now,
+            api_cycles,
+            app_cycles: 0,
+            ..std::mem::take(self)
+        };
+    }
 }
 
 struct Inner {
@@ -175,7 +198,8 @@ struct Inner {
     /// would reserve a core ahead of time and block earlier arrivals — so
     /// every hop is queued here and woken by a timer at its ready time.
     app_q: Vec<std::collections::VecDeque<AppEvent>>,
-    /// Deferred fast-path commands (drained by FP_CMD timers).
+    /// Deferred fast-path commands (drained by FP_CMD timers, each
+    /// running as many as its frame queued).
     fp_q: std::collections::VecDeque<FpCmd>,
     /// Deferred slow-path work (drained by SP_RUN timers).
     sp_q: std::collections::VecDeque<SpWork>,
@@ -991,16 +1015,7 @@ impl TasHost {
             ApiKind::LowLevel => self.inner.cfg.costs.ll_op,
         };
         // Prepare the frame, run the handler.
-        self.inner.frame = Frame {
-            context,
-            now: t_eff,
-            api_cycles: poll_cost,
-            app_cycles: 0,
-            fp_cmds: Vec::new(),
-            sp_cmds: Vec::new(),
-            timers: Vec::new(),
-            posts: Vec::new(),
-        };
+        self.inner.frame.begin(context, t_eff, poll_cost);
         let Some(mut app) = self.app.take() else {
             debug_assert!(false, "nested app delivery");
             return;
@@ -1016,7 +1031,7 @@ impl TasHost {
     }
 
     fn finish_frame(&mut self, t_eff: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let frame = std::mem::take(&mut self.inner.frame);
+        let mut frame = std::mem::take(&mut self.inner.frame);
         let total = frame.api_cycles + frame.app_cycles;
         let ipc = self.inner.cfg.costs.ipc_times_100;
         self.inner
@@ -1047,28 +1062,32 @@ impl TasHost {
             .core(frame.context as usize)
             .run(t_eff, total);
         // App timers.
-        for (delay, token) in frame.timers {
+        for (delay, token) in frame.timers.drain(..) {
             let data = ((frame.context as u64) << 48) | (token & 0xFFFF_FFFF_FFFF);
             ctx.timer_at(end + delay, timers::APP, data);
         }
         // Cross-thread posts: delivered on the target context at `end`.
-        for (context, token) in frame.posts {
+        for (context, token) in frame.posts.drain(..) {
             let data = ((context as u64) << 48) | (token & 0xFFFF_FFFF_FFFF);
             ctx.timer_at(end, timers::APP, data);
         }
         // Fast-path and slow-path commands issued by the handler become
-        // events at `end` (the cores must serve interim work first).
-        for cmd in frame.fp_cmds {
-            self.inner.fp_q.push_back(cmd);
-            ctx.timer_at(end, timers::FP_CMD, 0);
+        // events at `end` (the cores must serve interim work first). The
+        // frame's fast-path commands share one timer: per-command timers
+        // at one instant would dispatch back to back anyway.
+        if !frame.fp_cmds.is_empty() {
+            let n = frame.fp_cmds.len() as u64;
+            self.inner.fp_q.extend(frame.fp_cmds.drain(..));
+            ctx.timer_at(end, timers::FP_CMD, n);
         }
-        for cmd in frame.sp_cmds {
+        for cmd in frame.sp_cmds.drain(..) {
             let work = match cmd {
                 SpCmd::Connect { sock, ip, port } => SpWork::Connect { sock, ip, port },
                 SpCmd::Close { sock } => SpWork::Close { sock },
             };
             self.defer_sp(end, work, ctx);
         }
+        self.inner.frame = frame;
     }
 
     fn run_sp_work(&mut self, work: SpWork, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
@@ -1175,16 +1194,7 @@ impl TasHost {
         }
         // Run the app's on_start through the same frame machinery.
         let t = ctx.now();
-        self.inner.frame = Frame {
-            context: 0,
-            now: t,
-            api_cycles: 0,
-            app_cycles: 0,
-            fp_cmds: Vec::new(),
-            sp_cmds: Vec::new(),
-            timers: Vec::new(),
-            posts: Vec::new(),
-        };
+        self.inner.frame.begin(0, t, 0);
         let Some(mut app) = self.app.take() else {
             debug_assert!(false, "app missing at start");
             return;
@@ -1485,7 +1495,10 @@ impl Agent<NetMsg> for TasHost {
                         }
                     }
                     timers::FP_CMD => {
-                        if let Some(cmd) = self.inner.fp_q.pop_front() {
+                        for _ in 0..data {
+                            let Some(cmd) = self.inner.fp_q.pop_front() else {
+                                break;
+                            };
                             match cmd {
                                 FpCmd::Tx(fid) => {
                                     let core = Self::fp_core_for(&self.inner, fid);

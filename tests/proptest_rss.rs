@@ -3,10 +3,12 @@
 //! The Toeplitz hash is a linear code: `H(a ⊕ b) = H(a) ⊕ H(b)` for
 //! equal-length inputs. This is the construction's defining property —
 //! the MSDN known-answer vectors (unit tests) pin the key schedule, and
-//! linearity pins the bit-mixing for *all* inputs at once.
+//! linearity pins the bit-mixing for *all* inputs at once. The table-driven
+//! [`hash_tuple`] is held to the bit-serial [`toeplitz_hash`] reference.
 
 use proptest::prelude::*;
-use tas_repro::netsim::rss::{toeplitz_hash, RssTable, RSS_TABLE_SIZE, TOEPLITZ_KEY};
+use std::net::Ipv4Addr;
+use tas_repro::netsim::rss::{hash_tuple, toeplitz_hash, RssTable, RSS_TABLE_SIZE, TOEPLITZ_KEY};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -20,6 +22,17 @@ proptest! {
             toeplitz_hash(&TOEPLITZ_KEY, &xored),
             toeplitz_hash(&TOEPLITZ_KEY, &a) ^ toeplitz_hash(&TOEPLITZ_KEY, &b)
         );
+    }
+
+    /// The table-driven 4-tuple hash equals the bit-serial reference over
+    /// the tuple's 12 big-endian bytes.
+    #[test]
+    fn hash_tuple_matches_bit_serial_reference(t in any::<[u8; 12]>()) {
+        let src = Ipv4Addr::new(t[0], t[1], t[2], t[3]);
+        let dst = Ipv4Addr::new(t[4], t[5], t[6], t[7]);
+        let sport = u16::from_be_bytes([t[8], t[9]]);
+        let dport = u16::from_be_bytes([t[10], t[11]]);
+        prop_assert_eq!(hash_tuple(src, dst, sport, dport), toeplitz_hash(&TOEPLITZ_KEY, &t));
     }
 
     /// The zero input hashes to zero (linearity's identity), and a single
