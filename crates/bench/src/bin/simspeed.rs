@@ -257,9 +257,9 @@ fn packet_churn(flows: usize, warm: u64, ops: u64) -> (u64, f64, u64) {
         let Some(flow) = fp.flows.get_mut(fids[i]) else {
             continue;
         };
-        let n = flow.rcv.rx.len() as u64;
+        let n = flow.rcv.rx().len() as u64;
         fnv(&mut hash, n);
-        let _ = flow.rcv.rx.consume(n);
+        flow.rcv.consume(n);
     }
     (hash, start.elapsed().as_secs_f64().max(1e-9), done)
 }

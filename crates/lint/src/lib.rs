@@ -15,7 +15,11 @@
 //! | R3 | seq-space-arithmetic | u32 sequence-number wraparound |
 //! | R4 | fastpath-panic-freedom | packet-path panics |
 //! | R5 | trace-gate-hygiene | telemetry outside the `trace` feature gate |
-//! | R6 | deny-deprecated | resurrecting removed compat surfaces |
+//! | R7 | profile-site-hygiene | profiler sites outside the `profile` feature gate |
+//!
+//! R6 (deny-deprecated) and R8 (write-scope-boundary) are retired and
+//! their ids are not reused; R8's component write scopes are now private
+//! fields the compiler checks (DESIGN.md §16).
 //!
 //! Three consumers share this one core: the `tas-lint` binary, the
 //! root `tests/lint_workspace.rs` tier-1 test, and the CI `lint` job.

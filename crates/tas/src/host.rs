@@ -493,12 +493,12 @@ impl TasHost {
             if let Some(f) = self.inner.fp.flows.get(id) {
                 out.push((
                     id,
-                    f.snd.tx.len() as u64,
-                    f.snd.tx_sent,
-                    f.cc.bucket.rate_bps.saturating_mul(8),
-                    f.fc.snd_wnd,
-                    f.conn.rtt_est_us,
-                    f.snd.stall_intervals as u64,
+                    f.snd.tx().len() as u64,
+                    f.snd.tx_sent(),
+                    f.cc.bucket().rate_bps.saturating_mul(8),
+                    f.fc.snd_wnd(),
+                    f.conn.rtt_est_us(),
+                    f.snd.stall_intervals() as u64,
                 ));
             }
         }
@@ -513,7 +513,7 @@ impl TasHost {
                 break;
             }
             if let Some(f) = self.inner.fp.flows.get(id) {
-                out.push(f.conn.rtt_est_us);
+                out.push(f.conn.rtt_est_us());
             }
         }
         out
@@ -602,7 +602,7 @@ impl TasHost {
         };
         // Hash exactly as the NIC would hash the *incoming* direction of
         // this flow, so RX and TX of a connection share a core.
-        let k = flow.conn.key;
+        let k = flow.conn.key();
         let h = hash_tuple(k.remote_ip, k.local_ip, k.remote_port, k.local_port);
         inner.nic.rss().queue_for_hash(h)
     }
@@ -971,12 +971,12 @@ impl TasHost {
             {
                 // First newly readable byte: the RX ring already holds the
                 // payload this notice announces.
-                let off0 = flow.rcv.rx.end_offset().saturating_sub(notice.rx_bytes as u64);
+                let off0 = flow.rcv.rx().end_offset().saturating_sub(notice.rx_bytes as u64);
                 trace_stage(
                     "host",
                     t,
                     tas_telemetry::Stage::ShmDoorbell,
-                    flow.conn.key.reversed(),
+                    flow.conn.key().reversed(),
                     flow.rcv_seq_of(off0),
                     notice.rx_bytes,
                     SimTime::ZERO,
@@ -990,7 +990,7 @@ impl TasHost {
             let space = self.inner.socks[sock as usize]
                 .fid
                 .and_then(|fid| self.inner.fp.flows.get(fid))
-                .map(|f| (f.snd.tx.free(), f.snd.tx.capacity()))
+                .map(|f| (f.snd.tx().free(), f.snd.tx().capacity()))
                 .unwrap_or((usize::MAX, 0));
             if space.0 >= (space.1 / 4).max(8 * 1024).min(space.1) {
                 self.inner.socks[sock as usize].want_write = false;
@@ -1166,8 +1166,8 @@ impl TasHost {
             .record("nic.rx_pending", inner.nic.rx_pending() as f64);
         let (mut tx_bytes, mut rx_bytes) = (0u64, 0u64);
         for (_, f) in inner.fp.flows.iter() {
-            tx_bytes += f.snd.tx.len() as u64;
-            rx_bytes += f.rcv.rx.len() as u64;
+            tx_bytes += f.snd.tx().len() as u64;
+            rx_bytes += f.rcv.rx().len() as u64;
         }
         inner.series.record("shm.tx_bytes", tx_bytes as f64);
         inner.series.record("shm.rx_bytes", rx_bytes as f64);
@@ -1272,8 +1272,8 @@ impl StackApi for Api<'_> {
         };
         // libTAS writes payload directly into the user-space TX ring.
         #[cfg(feature = "trace")]
-        let off0 = flow.snd.tx.end_offset();
-        let n = flow.snd.tx.append_partial(data);
+        let off0 = flow.snd.tx().end_offset();
+        let n = flow.snd.buffer(data);
         if n < data.len() {
             s.want_write = true;
         }
@@ -1283,7 +1283,7 @@ impl StackApi for Api<'_> {
                 "app",
                 self.inner.frame.now,
                 tas_telemetry::Stage::AppSend,
-                flow.conn.key,
+                flow.conn.key(),
                 flow.seq_of(off0),
                 n as u32,
                 SimTime::ZERO,
@@ -1310,15 +1310,15 @@ impl StackApi for Api<'_> {
             return Vec::new();
         };
         #[cfg(feature = "trace")]
-        let off0 = flow.rcv.rx.start_offset();
-        let out = flow.rcv.rx.pop(max);
+        let off0 = flow.rcv.rx().start_offset();
+        let out = flow.rcv.read(max);
         if !out.is_empty() {
             #[cfg(feature = "trace")]
             trace_stage(
                 "app",
                 self.inner.frame.now,
                 tas_telemetry::Stage::AppDeliver,
-                flow.conn.key.reversed(),
+                flow.conn.key().reversed(),
                 flow.rcv_seq_of(off0),
                 out.len() as u32,
                 SimTime::ZERO,
@@ -1334,7 +1334,7 @@ impl StackApi for Api<'_> {
         let mut n = s.spill.as_ref().map(|r| r.len()).unwrap_or(0);
         if let Some(fid) = s.fid {
             if let Some(flow) = self.inner.fp.flows.get(fid) {
-                n += flow.rcv.rx.len();
+                n += flow.rcv.rx().len();
             }
         }
         n

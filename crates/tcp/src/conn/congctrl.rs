@@ -1,7 +1,7 @@
 //! `CongCtrl`: congestion control and ECN — the pluggable algorithm
 //! (shared `tas-cc` trait object) plus the ECN negotiation/echo state
-//! that feeds it. All mutation goes through `&mut self` methods here
-//! (lint rule R8).
+//! that feeds it. Fields are private: only the `&mut self` methods here
+//! write them.
 
 use crate::cc::{make_cc, AckInfo, CcKind, CongestionControl};
 
@@ -9,18 +9,18 @@ use crate::cc::{make_cc, AckInfo, CcKind, CongestionControl};
 #[derive(Debug)]
 pub struct CongCtrl {
     /// The congestion-control algorithm (window facet of `tas_cc`).
-    pub(crate) algo: Box<dyn CongestionControl>,
+    algo: Box<dyn CongestionControl>,
     /// ECN negotiated on this connection.
-    pub(crate) ecn_active: bool,
+    ecn_active: bool,
     /// RFC 3168 latched receiver echo (NewReno); cleared by sender CWR.
-    pub(crate) ece_latched: bool,
+    ece_latched: bool,
     /// DCTCP-style per-packet echo: the last data segment was CE-marked.
-    pub(crate) last_seg_ce: bool,
+    last_seg_ce: bool,
     /// Set CWR on the next outgoing data segment.
-    pub(crate) cwr_pending: bool,
+    cwr_pending: bool,
     /// NewReno ECE guard: ignore further ECE until `una_off` passes this
     /// offset (at most one window reduction per RTT, RFC 3168 §6.1.2).
-    pub(crate) ece_guard_off: u64,
+    ece_guard_off: u64,
 }
 
 impl CongCtrl {
@@ -36,26 +36,26 @@ impl CongCtrl {
     }
 
     /// Records the ECN negotiation outcome from the handshake.
-    pub(crate) fn set_active(&mut self, active: bool) {
+    pub fn set_active(&mut self, active: bool) {
         self.ecn_active = active;
     }
 
     /// Feeds one ACK to the algorithm (profiled per algorithm name).
-    pub(crate) fn on_ack(&mut self, info: AckInfo) {
+    pub fn on_ack(&mut self, info: AckInfo) {
         #[cfg(feature = "profile")]
         let _cc = tas_telemetry::profile::guard(self.algo.name());
         self.algo.on_ack(info);
     }
 
     /// Algorithm response to a retransmission timeout.
-    pub(crate) fn on_timeout(&mut self) {
+    pub fn on_timeout(&mut self) {
         #[cfg(feature = "profile")]
         let _cc = tas_telemetry::profile::guard(self.algo.name());
         self.algo.on_timeout();
     }
 
     /// Algorithm response to entering fast recovery.
-    pub(crate) fn on_fast_retransmit(&mut self) {
+    pub fn on_fast_retransmit(&mut self) {
         #[cfg(feature = "profile")]
         let _cc = tas_telemetry::profile::guard(self.algo.name());
         self.algo.on_fast_retransmit();
@@ -63,7 +63,7 @@ impl CongCtrl {
 
     /// Records the CE mark state of the data segment just received; CE
     /// latches the classic (RFC 3168) echo.
-    pub(crate) fn note_ce(&mut self, ce: bool) {
+    pub fn note_ce(&mut self, ce: bool) {
         self.last_seg_ce = ce;
         if ce {
             self.ece_latched = true;
@@ -71,12 +71,12 @@ impl CongCtrl {
     }
 
     /// Sender signalled CWR: stop the latched echo.
-    pub(crate) fn clear_latch_on_cwr(&mut self) {
+    pub fn clear_latch_on_cwr(&mut self) {
         self.ece_latched = false;
     }
 
     /// Consumes a pending CWR flag for the next data segment.
-    pub(crate) fn take_cwr_pending(&mut self) -> bool {
+    pub fn take_cwr_pending(&mut self) -> bool {
         let p = self.cwr_pending;
         self.cwr_pending = false;
         p
@@ -85,7 +85,7 @@ impl CongCtrl {
     /// Classic (NewReno/TIMELY) once-per-RTT ECE gate: passes the echo
     /// through only when `una_off` has cleared the guard, then re-arms
     /// the guard at `nxt_off` and schedules a CWR.
-    pub(crate) fn classic_ece_gate(&mut self, ece: bool, una_off: u64, nxt_off: u64) -> bool {
+    pub fn classic_ece_gate(&mut self, ece: bool, una_off: u64, nxt_off: u64) -> bool {
         if ece && una_off >= self.ece_guard_off {
             self.cwr_pending = true;
             self.ece_guard_off = nxt_off;
@@ -93,5 +93,26 @@ impl CongCtrl {
         } else {
             false
         }
+    }
+
+    // Read accessors, one per field (see the field docs).
+    #[inline]
+    pub fn ecn_active(&self) -> bool {
+        self.ecn_active
+    }
+
+    #[inline]
+    pub fn algo(&self) -> &dyn CongestionControl {
+        &*self.algo
+    }
+
+    #[inline]
+    pub fn last_seg_ce(&self) -> bool {
+        self.last_seg_ce
+    }
+
+    #[inline]
+    pub fn ece_latched(&self) -> bool {
+        self.ece_latched
     }
 }

@@ -1,20 +1,20 @@
 //! `FlowCtrl`: flow control — the peer's advertised send window (with
 //! its negotiated scale and MSS) and our own advertised-window
-//! bookkeeping for window-update ACKs. All mutation goes through
-//! `&mut self` methods here (lint rule R8).
+//! bookkeeping for window-update ACKs. Fields are private: only the
+//! `&mut self` methods here write them.
 
 /// Flow-control component: owns both directions' window accounting.
 #[derive(Debug)]
 pub struct FlowCtrl {
     /// Peer's advertised window in bytes (already scaled).
-    pub(crate) snd_wnd: u64,
+    snd_wnd: u64,
     /// Peer's window-scale shift from the SYN.
-    pub(crate) peer_wscale: u8,
+    peer_wscale: u8,
     /// Peer's MSS from the SYN.
-    pub(crate) peer_mss: u32,
+    peer_mss: u32,
     /// The advertised window we last put on the wire; a window update is
     /// emitted when the application reopens a previously-tight window.
-    pub(crate) last_adv_window: u64,
+    last_adv_window: u64,
 }
 
 impl FlowCtrl {
@@ -29,7 +29,7 @@ impl FlowCtrl {
 
     /// Applies the peer's SYN options: MSS, window scale, and the
     /// (unscaled) SYN window.
-    pub(crate) fn apply_syn(&mut self, mss: Option<u32>, wscale: u8, syn_window: u64) {
+    pub fn apply_syn(&mut self, mss: Option<u32>, wscale: u8, syn_window: u64) {
         if let Some(m) = mss {
             self.peer_mss = m;
         }
@@ -39,12 +39,33 @@ impl FlowCtrl {
     }
 
     /// Updates the peer window from a segment's raw (unscaled) field.
-    pub(crate) fn update_wnd(&mut self, raw_window: u16) {
+    pub fn update_wnd(&mut self, raw_window: u16) {
         self.snd_wnd = (raw_window as u64) << self.peer_wscale;
     }
 
     /// Records the advertised window just placed on the wire.
-    pub(crate) fn note_advertised(&mut self, adv: u64) {
+    pub fn note_advertised(&mut self, adv: u64) {
         self.last_adv_window = adv;
+    }
+
+    // Read accessors, one per field (see the field docs).
+    #[inline]
+    pub fn snd_wnd(&self) -> u64 {
+        self.snd_wnd
+    }
+
+    #[inline]
+    pub fn peer_wscale(&self) -> u8 {
+        self.peer_wscale
+    }
+
+    #[inline]
+    pub fn peer_mss(&self) -> u32 {
+        self.peer_mss
+    }
+
+    #[inline]
+    pub fn last_adv_window(&self) -> u64 {
+        self.last_adv_window
     }
 }

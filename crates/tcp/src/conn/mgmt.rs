@@ -1,7 +1,7 @@
 //! `ConnMgmt`: connection lifecycle state — the RFC 793 state machine,
 //! open/close progress (FIN bookkeeping on both sides), the TIME_WAIT
-//! timer, and the timestamp echo. All mutation goes through `&mut self`
-//! methods here; everything else holds `&` views (lint rule R8).
+//! timer, and the timestamp echo. Fields are private: only the
+//! `&mut self` methods here write them.
 
 use tas_sim::SimTime;
 
@@ -12,25 +12,25 @@ use super::{EndpointInfo, TcpState};
 #[derive(Debug)]
 pub struct ConnMgmt {
     /// Current RFC 793 state.
-    pub(crate) state: TcpState,
+    state: TcpState,
     /// Local addressing.
-    pub(crate) local: EndpointInfo,
+    local: EndpointInfo,
     /// Remote addressing.
-    pub(crate) remote: EndpointInfo,
+    remote: EndpointInfo,
     /// TIME_WAIT expiry, when in TIME_WAIT.
-    pub(crate) time_wait_deadline: Option<SimTime>,
+    time_wait_deadline: Option<SimTime>,
     /// Application requested close; FIN goes out once data drains.
-    pub(crate) fin_queued: bool,
+    fin_queued: bool,
     /// Our FIN has been transmitted.
-    pub(crate) fin_sent: bool,
+    fin_sent: bool,
     /// Our FIN has been acknowledged.
-    pub(crate) fin_acked: bool,
+    fin_acked: bool,
     /// Stream offset of the peer's FIN, once seen.
-    pub(crate) peer_fin_off: Option<u64>,
+    peer_fin_off: Option<u64>,
     /// The peer FIN has been delivered to the application.
-    pub(crate) peer_fin_done: bool,
+    peer_fin_done: bool,
     /// Most recent peer TSval, echoed in our timestamps.
-    pub(crate) ts_recent: u32,
+    ts_recent: u32,
 }
 
 impl ConnMgmt {
@@ -50,18 +50,18 @@ impl ConnMgmt {
     }
 
     /// Transitions the state machine.
-    pub(crate) fn set_state(&mut self, s: TcpState) {
+    pub fn set_state(&mut self, s: TcpState) {
         self.state = s;
     }
 
     /// Records the peer's most recent TSval for echo.
-    pub(crate) fn note_ts(&mut self, tsval: u32) {
+    pub fn note_ts(&mut self, tsval: u32) {
         self.ts_recent = tsval;
     }
 
     /// Marks the application's close request; returns false if already
     /// queued (close is idempotent).
-    pub(crate) fn queue_fin(&mut self) -> bool {
+    pub fn queue_fin(&mut self) -> bool {
         if self.fin_queued {
             return false;
         }
@@ -69,21 +69,21 @@ impl ConnMgmt {
         true
     }
 
-    pub(crate) fn set_fin_sent(&mut self, sent: bool) {
+    pub fn set_fin_sent(&mut self, sent: bool) {
         self.fin_sent = sent;
     }
 
-    pub(crate) fn mark_fin_acked(&mut self) {
+    pub fn mark_fin_acked(&mut self) {
         self.fin_acked = true;
     }
 
     /// Remembers where the peer's FIN sits in the stream.
-    pub(crate) fn set_peer_fin(&mut self, off: u64) {
+    pub fn set_peer_fin(&mut self, off: u64) {
         self.peer_fin_off = Some(off);
     }
 
     /// Marks the peer FIN as delivered; returns false if it already was.
-    pub(crate) fn mark_peer_fin_done(&mut self) -> bool {
+    pub fn mark_peer_fin_done(&mut self) -> bool {
         if self.peer_fin_done {
             return false;
         }
@@ -92,17 +92,63 @@ impl ConnMgmt {
     }
 
     /// Arms the TIME_WAIT timer.
-    pub(crate) fn arm_time_wait(&mut self, deadline: SimTime) {
+    pub fn arm_time_wait(&mut self, deadline: SimTime) {
         self.time_wait_deadline = Some(deadline);
     }
 
     /// Final transition to CLOSED; returns false if already closed.
-    pub(crate) fn enter_closed(&mut self) -> bool {
+    pub fn enter_closed(&mut self) -> bool {
         if self.state == TcpState::Closed {
             return false;
         }
         self.state = TcpState::Closed;
         self.time_wait_deadline = None;
         true
+    }
+
+    // Read accessors, one per field (see the field docs).
+    #[inline]
+    pub fn state(&self) -> TcpState {
+        self.state
+    }
+
+    #[inline]
+    pub fn local(&self) -> EndpointInfo {
+        self.local
+    }
+
+    #[inline]
+    pub fn remote(&self) -> EndpointInfo {
+        self.remote
+    }
+
+    #[inline]
+    pub fn time_wait_deadline(&self) -> Option<SimTime> {
+        self.time_wait_deadline
+    }
+
+    #[inline]
+    pub fn fin_queued(&self) -> bool {
+        self.fin_queued
+    }
+
+    #[inline]
+    pub fn fin_sent(&self) -> bool {
+        self.fin_sent
+    }
+
+    #[inline]
+    pub fn fin_acked(&self) -> bool {
+        self.fin_acked
+    }
+
+    #[inline]
+    pub fn peer_fin_off(&self) -> Option<u64> {
+        self.peer_fin_off
+    }
+
+    #[inline]
+    pub fn ts_recent(&self) -> u32 {
+        self.ts_recent
     }
 }

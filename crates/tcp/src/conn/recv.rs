@@ -1,7 +1,7 @@
 //! `RecvRel`: receive-side reliability and ordered delivery — the
 //! in-order receive ring, the out-of-order reassembler, and the receive
-//! frontier (`rcv_nxt` as a stream offset). All mutation goes through
-//! `&mut self` methods here (lint rule R8).
+//! frontier (`rcv_nxt` as a stream offset). Fields are private: only
+//! the `&mut self` methods here write them.
 
 use crate::reasm::Reassembler;
 use tas_shm::ByteRing;
@@ -11,13 +11,13 @@ use tas_shm::ByteRing;
 #[derive(Debug)]
 pub struct RecvRel {
     /// Initial receive sequence number (peer's ISS).
-    pub(crate) irs: u32,
+    irs: u32,
     /// Stream offset of the next in-order byte expected (`rcv_nxt`).
-    pub(crate) rcv_off: u64,
+    rcv_off: u64,
     /// In-order receive buffer the application reads from.
-    pub(crate) rx: ByteRing,
+    rx: ByteRing,
     /// Out-of-order segment store (SACK-style receiver).
-    pub(crate) reasm: Reassembler,
+    reasm: Reassembler,
 }
 
 impl RecvRel {
@@ -31,14 +31,14 @@ impl RecvRel {
     }
 
     /// Latches the peer's ISS and resets the frontier (handshake).
-    pub(crate) fn init_irs(&mut self, irs: u32) {
+    pub fn init_irs(&mut self, irs: u32) {
         self.irs = irs;
         self.rcv_off = 0;
     }
 
     /// Commits in-order payload to the receive ring, bounded by free
     /// space; advances the frontier and returns the bytes taken.
-    pub(crate) fn commit_in_order(&mut self, fresh: &[u8]) -> usize {
+    pub fn commit_in_order(&mut self, fresh: &[u8]) -> usize {
         let take = fresh.len().min(self.rx.free());
         let n = if self.rx.append(&fresh[..take]).is_ok() {
             take
@@ -56,7 +56,7 @@ impl RecvRel {
 
     /// Pulls any now-contiguous reassembled run into the ring; returns
     /// the bytes delivered.
-    pub(crate) fn drain_reassembled(&mut self) -> usize {
+    pub fn drain_reassembled(&mut self) -> usize {
         let Some(run) = self.reasm.pop_ready(self.rcv_off) else {
             return 0;
         };
@@ -71,12 +71,33 @@ impl RecvRel {
     }
 
     /// Stores an out-of-order chunk at stream offset `off`.
-    pub(crate) fn insert_ooo(&mut self, off: u64, data: Vec<u8>) {
+    pub fn insert_ooo(&mut self, off: u64, data: Vec<u8>) {
         self.reasm.insert(off, data);
     }
 
     /// Reads up to `max` in-order bytes for the application.
-    pub(crate) fn read(&mut self, max: usize) -> Vec<u8> {
+    pub fn read(&mut self, max: usize) -> Vec<u8> {
         self.rx.pop(max)
+    }
+
+    // Read accessors, one per field (see the field docs).
+    #[inline]
+    pub fn irs(&self) -> u32 {
+        self.irs
+    }
+
+    #[inline]
+    pub fn rcv_off(&self) -> u64 {
+        self.rcv_off
+    }
+
+    #[inline]
+    pub fn rx(&self) -> &ByteRing {
+        &self.rx
+    }
+
+    #[inline]
+    pub fn reasm(&self) -> &Reassembler {
+        &self.reasm
     }
 }

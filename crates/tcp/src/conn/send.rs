@@ -1,7 +1,7 @@
 //! `SendRel`: send-side reliability — the transmit ring and its offsets
-//! (`snd_una`/`snd_nxt` as stream offsets), duplicate-ACK counting, fast
-//! recovery state, RTT estimation, and the retransmission timer. All
-//! mutation goes through `&mut self` methods here (lint rule R8).
+//! (`snd_una`/`snd_nxt` as stream offsets), duplicate-ACK counting,
+//! fast recovery state, RTT estimation, and the retransmission timer.
+//! Fields are private: only the `&mut self` methods here write them.
 
 use crate::rtt::RttEstimator;
 use tas_shm::ByteRing;
@@ -12,30 +12,30 @@ use tas_sim::SimTime;
 #[derive(Debug)]
 pub struct SendRel {
     /// Initial send sequence number.
-    pub(crate) iss: u32,
+    iss: u32,
     /// Stream offset of the first unacknowledged byte (`snd_una`).
-    pub(crate) una_off: u64,
+    una_off: u64,
     /// Stream offset of the next byte to transmit (`snd_nxt`).
-    pub(crate) nxt_off: u64,
+    nxt_off: u64,
     /// Highest offset ever transmitted; go-back-N rewinds `nxt_off`, but
     /// cumulative ACKs up to this mark must still be accepted.
-    pub(crate) max_sent_off: u64,
+    max_sent_off: u64,
     /// Send buffer (unacknowledged + queued bytes).
-    pub(crate) tx: ByteRing,
+    tx: ByteRing,
     /// Consecutive duplicate ACKs at the current left edge.
-    pub(crate) dupacks: u32,
+    dupacks: u32,
     /// In NewReno fast recovery.
-    pub(crate) in_recovery: bool,
+    in_recovery: bool,
     /// Recovery ends when `una_off` reaches this offset.
-    pub(crate) recover_off: u64,
+    recover_off: u64,
     /// SACK-style recovery sweep: next offset to retransmit on further
     /// duplicate ACKs (the receiver holds out-of-order data, so sweeping
     /// the window fills holes without waiting for an RTO).
-    pub(crate) recovery_cursor_off: u64,
+    recovery_cursor_off: u64,
     /// RTT estimator (Jacobson/Karels via timestamps).
-    pub(crate) rtt: RttEstimator,
+    rtt: RttEstimator,
     /// Retransmission (and zero-window persist) timer.
-    pub(crate) rto_deadline: Option<SimTime>,
+    rto_deadline: Option<SimTime>,
 }
 
 impl SendRel {
@@ -56,14 +56,14 @@ impl SendRel {
     }
 
     /// Buffers application bytes; returns how many fit.
-    pub(crate) fn buffer(&mut self, data: &[u8]) -> usize {
+    pub fn buffer(&mut self, data: &[u8]) -> usize {
         self.tx.append_partial(data)
     }
 
     /// Advances the left edge by `newly` acknowledged bytes (of which
     /// `payload` are ring bytes to release; the rest is a FIN).
     /// Returns false on ring-accounting failure (audited by caller).
-    pub(crate) fn advance_una(&mut self, newly: u64, payload: u64) -> bool {
+    pub fn advance_una(&mut self, newly: u64, payload: u64) -> bool {
         self.una_off += newly;
         // The ACK may land beyond a rewound nxt: resume from there.
         self.nxt_off = self.nxt_off.max(self.una_off);
@@ -74,71 +74,127 @@ impl SendRel {
     }
 
     /// Records `n` freshly transmitted bytes.
-    pub(crate) fn note_sent(&mut self, n: u64) {
+    pub fn note_sent(&mut self, n: u64) {
         self.nxt_off += n;
         self.max_sent_off = self.max_sent_off.max(self.nxt_off);
     }
 
     /// Go-back-N: rewinds the transmit cursor to the left edge.
-    pub(crate) fn rewind_to_una(&mut self) {
+    pub fn rewind_to_una(&mut self) {
         self.nxt_off = self.una_off;
     }
 
-    pub(crate) fn reset_dupacks(&mut self) {
+    pub fn reset_dupacks(&mut self) {
         self.dupacks = 0;
     }
 
     /// Counts one duplicate ACK; returns the new count.
-    pub(crate) fn count_dupack(&mut self) -> u32 {
+    pub fn count_dupack(&mut self) -> u32 {
         self.dupacks += 1;
         self.dupacks
     }
 
     /// Enters fast recovery: records the recovery horizon and primes the
     /// SACK sweep cursor one MSS past the left edge.
-    pub(crate) fn enter_recovery(&mut self, mss: u32) {
+    pub fn enter_recovery(&mut self, mss: u32) {
         self.in_recovery = true;
         self.recover_off = self.nxt_off;
         self.recovery_cursor_off = self.una_off + mss as u64;
     }
 
-    pub(crate) fn exit_recovery(&mut self) {
+    pub fn exit_recovery(&mut self) {
         self.in_recovery = false;
     }
 
     /// Keeps the sweep cursor at or past the left edge.
-    pub(crate) fn clamp_cursor_to_una(&mut self) {
+    pub fn clamp_cursor_to_una(&mut self) {
         self.recovery_cursor_off = self.recovery_cursor_off.max(self.una_off);
     }
 
     /// Advances the sweep cursor after a recovery retransmission.
-    pub(crate) fn advance_cursor(&mut self, mss: u32) {
+    pub fn advance_cursor(&mut self, mss: u32) {
         self.recovery_cursor_off += mss as u64;
     }
 
     /// Feeds one RTT sample to the estimator.
-    pub(crate) fn rtt_update(&mut self, sample: SimTime) {
+    pub fn rtt_update(&mut self, sample: SimTime) {
         self.rtt.update(sample);
     }
 
     /// Exponential RTO backoff on timeout.
-    pub(crate) fn rtt_backoff(&mut self) {
+    pub fn rtt_backoff(&mut self) {
         self.rtt.backoff();
     }
 
     /// Arms the retransmission timer unconditionally.
-    pub(crate) fn arm_rto(&mut self, deadline: SimTime) {
+    pub fn arm_rto(&mut self, deadline: SimTime) {
         self.rto_deadline = Some(deadline);
     }
 
     /// Arms the retransmission timer only if not already running.
-    pub(crate) fn arm_rto_if_unarmed(&mut self, deadline: SimTime) {
+    pub fn arm_rto_if_unarmed(&mut self, deadline: SimTime) {
         if self.rto_deadline.is_none() {
             self.rto_deadline = Some(deadline);
         }
     }
 
-    pub(crate) fn disarm_rto(&mut self) {
+    pub fn disarm_rto(&mut self) {
         self.rto_deadline = None;
+    }
+
+    // Read accessors, one per field (see the field docs).
+    #[inline]
+    pub fn iss(&self) -> u32 {
+        self.iss
+    }
+
+    #[inline]
+    pub fn una_off(&self) -> u64 {
+        self.una_off
+    }
+
+    #[inline]
+    pub fn nxt_off(&self) -> u64 {
+        self.nxt_off
+    }
+
+    #[inline]
+    pub fn max_sent_off(&self) -> u64 {
+        self.max_sent_off
+    }
+
+    #[inline]
+    pub fn tx(&self) -> &ByteRing {
+        &self.tx
+    }
+
+    #[inline]
+    pub fn dupacks(&self) -> u32 {
+        self.dupacks
+    }
+
+    #[inline]
+    pub fn in_recovery(&self) -> bool {
+        self.in_recovery
+    }
+
+    #[inline]
+    pub fn recover_off(&self) -> u64 {
+        self.recover_off
+    }
+
+    #[inline]
+    pub fn recovery_cursor_off(&self) -> u64 {
+        self.recovery_cursor_off
+    }
+
+    #[inline]
+    pub fn rtt(&self) -> &RttEstimator {
+        &self.rtt
+    }
+
+    #[inline]
+    pub fn rto_deadline(&self) -> Option<SimTime> {
+        self.rto_deadline
     }
 }

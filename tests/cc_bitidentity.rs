@@ -12,7 +12,8 @@ use std::net::Ipv4Addr;
 use tas_repro::proto::{FlowKey, MacAddr};
 use tas_repro::shm::ByteRing;
 use tas_repro::sim::SimTime;
-use tas_repro::tas::cc::{dctcp_rate_iteration, timely_iteration, DctcpRateParams, TimelyParams};
+use tas_cc::{RateFeedback, Timely};
+use tas_repro::tas::cc::{dctcp_rate_iteration, DctcpRateParams, TimelyParams};
 use tas_repro::tas::flow::{
     FlowState, FpCongCtrl, FpConnMgmt, FpFlowCtrl, FpRecvRel, FpSendRel, RateBucket,
 };
@@ -32,8 +33,6 @@ impl Lcg {
 }
 
 fn flow() -> FlowState {
-    let mut cc = FpCongCtrl::new(RateBucket::unlimited());
-    cc.cwnd = 14480;
     FlowState {
         conn: FpConnMgmt::new(
             0,
@@ -45,7 +44,7 @@ fn flow() -> FlowState {
         snd: FpSendRel::new(ByteRing::new(65536), 0),
         rcv: FpRecvRel::new(ByteRing::new(65536), 0),
         fc: FpFlowCtrl::new(65536, 7),
-        cc,
+        cc: FpCongCtrl::new(RateBucket::unlimited()),
     }
 }
 
@@ -248,21 +247,26 @@ fn dctcp_rate_trajectory_is_bit_identical() {
     let mut rate: u64 = 10_000_000;
     let mut out = Vec::new();
     for _ in 0..48 {
-        f.cc.cnt_ackb = lcg.next() % 200_000;
-        f.cc.cnt_ecnb = if lcg.next().is_multiple_of(3) {
-            lcg.next() % (f.cc.cnt_ackb + 1)
+        // The fast path's owner methods accumulate the scripted feedback.
+        let ackb = lcg.next() % 200_000;
+        let ecnb = if lcg.next().is_multiple_of(3) {
+            lcg.next() % (ackb + 1)
         } else {
             0
         };
-        f.cc.cnt_frexmits = if lcg.next().is_multiple_of(8) { 1 } else { 0 };
+        f.cc.count_acked(ackb - ecnb, false);
+        f.cc.count_acked(ecnb, true);
+        if lcg.next().is_multiple_of(8) {
+            f.cc.count_fast_rexmit();
+        }
         rate = dctcp_rate_iteration(&mut f, rate, 0.0005, &p);
         out.push(rate);
     }
     assert_eq!(out, golden);
     // The f64 EWMA state must come out bit-exact, not merely close.
-    assert_eq!(f.cc.state.alpha.to_bits(), 0x3fc471714228e5e6);
-    assert_eq!(f.cc.state.rate_ewma.to_bits(), 0x41d4e966fc73e9ce);
-    assert!(!f.cc.state.slow_start);
+    assert_eq!(f.cc.state().alpha.to_bits(), 0x3fc471714228e5e6);
+    assert_eq!(f.cc.state().rate_ewma.to_bits(), 0x41d4e966fc73e9ce);
+    assert!(!f.cc.state().slow_start);
 }
 
 #[test]
@@ -275,18 +279,27 @@ fn timely_rate_trajectory_is_bit_identical() {
         14779182, 24779182, 19661582, 29661582, 39661582, 7932316, 1586463, 11586463, 2317292,
         12317292, 22317292, 32317292,
     ];
-    let p = TimelyParams::default();
+    // The script sets the RTT estimate outright each interval, which the
+    // fast path's EWMA cannot, so the feedback is built directly and fed
+    // to the algorithm `timely_iteration` runs.
+    let algo = Timely::with_params(1448, TimelyParams::default());
     let mut f = flow();
     let mut lcg = Lcg(0x5eed_0003);
     let mut rate: u64 = 10_000_000;
     let mut out = Vec::new();
     for _ in 0..48 {
-        f.cc.cnt_ackb = lcg.next() % 200_000;
-        f.conn.rtt_est_us = (20 + lcg.next() % 700) as u32;
-        rate = timely_iteration(&mut f, rate, &p);
+        let ackb = lcg.next() % 200_000;
+        let rtt_est_us = (20 + lcg.next() % 700) as u32;
+        let fb = RateFeedback {
+            ackb,
+            ecnb: 0,
+            frexmits: 0,
+            rtt_est_us,
+        };
+        rate = f.cc.rate_iteration(&algo, fb, rate, 0.0);
         out.push(rate);
     }
     assert_eq!(out, golden);
-    assert_eq!(f.cc.state.prev_rtt_us, 230);
-    assert!(!f.cc.state.slow_start);
+    assert_eq!(f.cc.state().prev_rtt_us, 230);
+    assert!(!f.cc.state().slow_start);
 }

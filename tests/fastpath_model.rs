@@ -143,8 +143,8 @@ proptest! {
         // Whatever was committed must be a prefix of the stream.
         {
             let flow = fp.flows.get_mut(fid).expect("installed");
-            let n = flow.rcv.rx.len();
-            let got = flow.rcv.rx.copy_out(0, n).expect("committed prefix");
+            let n = flow.rcv.rx().len();
+            let got = flow.rcv.rx().copy_out(0, n).expect("committed prefix");
             prop_assert_eq!(&got[..], &stream[..n], "committed data is a prefix");
         }
         // Final sweep: resend the whole stream in order (go-back-N after a
@@ -161,8 +161,8 @@ proptest! {
             fp.out.packets.clear();
         }
         let flow = fp.flows.get_mut(fid).expect("installed");
-        prop_assert_eq!(flow.rcv.rx.pop(usize::MAX - 1), stream);
-        prop_assert_eq!(flow.rcv.ooo_len, 0, "interval fully merged");
+        prop_assert_eq!(flow.rcv.read(usize::MAX - 1), stream);
+        prop_assert_eq!(flow.rcv.ooo_len(), 0, "interval fully merged");
     }
 
     /// The architectural state constant matches the paper regardless of
@@ -209,8 +209,8 @@ fn steady_state_rx_does_not_allocate() {
         // The app keeps up: consume the committed bytes so the ring and
         // the advertised window stay in steady state.
         let flow = fp.flows.get_mut(fid).expect("installed");
-        let n = flow.rcv.rx.len() as u64;
-        flow.rcv.rx.consume(n).expect("consume committed prefix");
+        let n = flow.rcv.rx().len() as u64;
+        assert!(flow.rcv.consume(n), "consume committed prefix");
     };
 
     for _ in 0..WARMUP {

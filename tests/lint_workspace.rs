@@ -1,5 +1,5 @@
 //! Tier-1 gate: the workspace must be clean under the determinism lint
-//! (`tas-lint`, rules R1–R8, configured by the repo's `lint.toml`).
+//! (`tas-lint`, rules R1–R5 and R7, configured by the repo's `lint.toml`).
 //!
 //! This is the same scan CI's `lint` job runs via the binary; keeping
 //! it in the default test suite means a plain `cargo test` catches a
@@ -40,9 +40,9 @@ fn every_crate_source_file_is_scoped_or_explicitly_unscoped() {
     // Catalog-coverage self-check: each `.rs` file under `crates/*/src`
     // must fall inside at least one rule's path scope, an `exclude`
     // prefix, or the explicit allowlist below — so a new crate cannot
-    // silently dodge the rule catalog. (R6 is whole-workspace and would
-    // make the check vacuous, so only rules with a non-empty scope
-    // count.)
+    // silently dodge the rule catalog. (A rule with an empty scope runs
+    // everywhere and would make the check vacuous, so only non-empty
+    // scopes count.)
     const ALLOWED_UNSCOPED: &[&str] = &[
         // The linter itself names every banned identifier in its rule
         // tables; scoping any ident rule over it would be self-defeating.
